@@ -66,9 +66,7 @@ use std::io::Write;
 use std::time::Instant;
 
 use ga_simnet::runtime::Runtime;
-use ga_simnet::sim::set_plan_cache;
 use ga_simnet::telemetry::{ProfileData, Profiler, TelemetryConfig};
-use ga_simnet::topology::{set_default_repr, AdjacencyRepr};
 
 use crate::json::Json;
 use crate::record::event_json;
@@ -116,15 +114,6 @@ struct Options {
     /// Metric to render as a cross-run convergence table (`rounds` for
     /// rounds-to-stop).
     table: Option<String>,
-    /// Forced adjacency representation: `None` keeps the size-based
-    /// auto-selection, `Some` pins every topology built during the
-    /// invocation to the dense bitmask or the pure-CSR path. Traces are
-    /// identical either way; the knob exists so CI can prove it.
-    repr: Option<AdjacencyRepr>,
-    /// `false` disables shard-plan caching for every simulation built
-    /// during the invocation. Caching never changes a trace; the knob
-    /// exists so CI can prove it (cached vs uncached byte-identity).
-    plan_cache: bool,
 }
 
 impl Options {
@@ -140,8 +129,6 @@ impl Options {
             events: None,
             profile: None,
             table: None,
-            repr: None,
-            plan_cache: true,
         };
         let mut i = 0;
         while i < args.len() {
@@ -203,23 +190,6 @@ impl Options {
                 }
                 "--table" => {
                     opts.table = Some(take(i)?.clone());
-                    i += 2;
-                }
-                "--no-plan-cache" => {
-                    opts.plan_cache = false;
-                    i += 1;
-                }
-                "--repr" => {
-                    opts.repr = Some(match take(i)?.as_str() {
-                        "auto" => AdjacencyRepr::Auto,
-                        "dense" => AdjacencyRepr::Dense,
-                        "sparse" => AdjacencyRepr::Sparse,
-                        other => {
-                            return Err(format!(
-                                "--repr must be auto, dense or sparse (got {other})"
-                            ))
-                        }
-                    });
                     i += 2;
                 }
                 other => return Err(format!("unknown argument: {other}")),
@@ -297,17 +267,8 @@ fn usage(err: &str) -> i32 {
     eprintln!("                            FILE (never folded into summaries/events)");
     eprintln!("        [--table METRIC]    append a convergence-vs-param table of METRIC");
     eprintln!("                            ('rounds' for rounds-to-stop percentiles)");
-    eprintln!("        [--repr MODE]       force the adjacency representation for every");
-    eprintln!("                            topology: auto (size-based, default), dense");
-    eprintln!("                            (bitmask) or sparse (pure CSR); traces are");
-    eprintln!("                            byte-identical across modes");
-    eprintln!("        [--no-plan-cache]   recompute the shard plan every round instead");
-    eprintln!("                            of reusing it when the active set and topology");
-    eprintln!("                            are unchanged; traces are byte-identical");
-    eprintln!("                            either way");
     eprintln!("  bench [--suite NAME]      time a sweep, write throughput JSON");
-    eprintln!("        [--seeds N] [--workers N] [--shards N] [--table METRIC]");
-    eprintln!("        [--repr MODE] [--no-plan-cache]  as for run");
+    eprintln!("        [--seeds N] [--workers N] [--shards N] [--table METRIC]  as for run");
     eprintln!("        [--out FILE (default BENCH_scenarios.json)]");
     eprintln!("  trace EVENTS.jsonl        convert an --events file to Chrome trace-event");
     eprintln!("        [--out FILE]        JSON (Perfetto/chrome://tracing); stdout");
@@ -338,10 +299,6 @@ fn run(opts: &Options) -> i32 {
             opts.suite
         ));
     };
-    if let Some(repr) = opts.repr {
-        set_default_repr(repr);
-    }
-    set_plan_cache(opts.plan_cache);
     // The one pool behind the whole invocation: concurrent runs and their
     // sharded step loops all draw from these `--workers` threads.
     let runtime = Runtime::new(opts.workers);
@@ -505,10 +462,6 @@ fn bench(opts: &Options) -> i32 {
             opts.suite
         ));
     };
-    if let Some(repr) = opts.repr {
-        set_default_repr(repr);
-    }
-    set_plan_cache(opts.plan_cache);
     // Resolve the budget split once: it also prints the ignored---shards
     // note, and the bench region must not re-trigger it.
     let workers = opts.sweep_workers(&suite);
@@ -922,7 +875,6 @@ mod tests {
                 "--records",
                 "runs.jsonl",
                 "--no-records",
-                "--no-plan-cache",
             ]),
             "paper",
         )
@@ -934,7 +886,6 @@ mod tests {
         assert_eq!(opts.out.as_deref(), Some("x.json"));
         assert_eq!(opts.record_sink.as_deref(), Some("runs.jsonl"));
         assert!(!opts.records);
-        assert!(!opts.plan_cache);
     }
 
     #[test]
@@ -954,7 +905,6 @@ mod tests {
         assert!(opts.workers >= 1);
         assert_eq!(opts.shards, None);
         assert!(opts.record_sink.is_none());
-        assert!(opts.plan_cache);
     }
 
     #[test]

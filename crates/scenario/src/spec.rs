@@ -206,9 +206,6 @@ struct StabilizationProbe {
 pub struct ScenarioSpec {
     name: String,
     topology: TopologyFamily,
-    /// Adjacency representation override for each run's graph; `None`
-    /// keeps the size-based auto choice (or the process-wide default).
-    repr: Option<AdjacencyRepr>,
     delivery: Delivery,
     placements: Vec<(usize, Role)>,
     strategies: Vec<PlacementStrategy>,
@@ -257,7 +254,6 @@ impl ScenarioSpec {
         ScenarioSpec {
             name: name.into(),
             topology,
-            repr: None,
             delivery: Delivery::Reliable,
             placements: Vec::new(),
             strategies: Vec::new(),
@@ -290,17 +286,6 @@ impl ScenarioSpec {
     #[must_use]
     pub fn delivery(mut self, delivery: Delivery) -> Self {
         self.delivery = delivery;
-        self
-    }
-
-    /// Forces the adjacency representation of every run's graph (default:
-    /// the size-based auto choice). Purely a memory/speed knob — dense
-    /// and sparse answer every query identically, so records are
-    /// byte-identical either way; see
-    /// [`Topology::set_repr`](ga_simnet::topology::Topology::set_repr).
-    #[must_use]
-    pub fn repr(mut self, repr: AdjacencyRepr) -> Self {
-        self.repr = Some(repr);
         self
     }
 
@@ -575,10 +560,7 @@ impl ScenarioSpec {
         // to the spec's own knob so `.shards(n)` survives every sweep
         // path. Any explicit hint — including 1 = force serial — wins.
         let shards = if shards == 0 { self.shards } else { shards };
-        let mut topology = self.topology.build(seed);
-        if let Some(repr) = self.repr {
-            topology.set_repr(repr);
-        }
+        let topology = self.topology.build(seed);
         let n = topology.len();
         let placements = self.resolve_placements(&topology, seed);
         // The cabal's per-round lies derive from the run seed, so records

@@ -47,10 +47,10 @@
 //! ## Sharded stepping on the persistent runtime
 //!
 //! [`Simulation::step`](sim::Simulation::step) splits every round into a
-//! **compute phase** (each shard's process id set steps against the
-//! immutable prior-round inboxes, filtering its outboxes into per-shard
-//! scratch) and a **deterministic merge phase** (a k-way walk over the
-//! shards' per-sender segment tables replays ascending process-id order,
+//! **compute phase** (each shard's contiguous run of process ids steps
+//! against the immutable prior-round inboxes, filtering its outboxes into
+//! per-shard scratch) and a **deterministic merge phase** (the shards'
+//! buffers drained in run order, which is ascending process-id order,
 //! counters summed in fixed order). With
 //! [`StepExec::Sharded`](sim::StepExec) the compute phase is submitted as
 //! one indexed batch to a persistent [`Runtime`](runtime::Runtime) worker
@@ -67,16 +67,9 @@
 //! ## Sparse mode
 //!
 //! The substrate scales to sparse million-process systems (rings, grids,
-//! random-k graphs) through three mechanisms, none of which change any
+//! random-k graphs) through two mechanisms, neither of which changes any
 //! trace:
 //!
-//! * **CSR adjacency.** [`Topology`](topology::Topology) stores sorted
-//!   compressed-sparse-row neighbor lists; the O(n²/8) dense bitmask plane
-//!   used for O(1) `connected` checks is kept only at small n (or when
-//!   forced via [`AdjacencyRepr`](topology::AdjacencyRepr) /
-//!   [`Topology::set_repr`](topology::Topology::set_repr)), with binary
-//!   search on the row as the sparse path. Both representations answer
-//!   every query identically.
 //! * **Quiescence-aware stepping.** Each round steps only the *active
 //!   set*: processes whose inbox gained a message last round, processes
 //!   woken by a schedule/fault intervention (scramble, corruption,
@@ -94,13 +87,12 @@
 //!   a fully quiescent round still advances the clock and fires due
 //!   schedule entries.
 //! * **Degree-balanced sharding.** Under
-//!   [`StepExec::Sharded`](sim::StepExec) the active set is assigned to
-//!   shards by a deterministic greedy bin-pack over `degree + 1` weights
-//!   (heaviest first, ties toward the lower id; least-loaded bin, ties
-//!   toward the lower bin), so one hub can't serialize a shard. The merge
-//!   phase k-way-walks the shards' per-sender segment tables to replay
-//!   global ascending-id order, keeping traces and event streams
-//!   byte-identical at any workers × shards × pool size.
+//!   [`StepExec::Sharded`](sim::StepExec) the ascending active set is
+//!   split into contiguous runs of roughly equal `degree + 1` weight, in
+//!   one O(active) pass each round, so one hub can't serialize a shard.
+//!   The merge drains the runs in order, which replays global
+//!   ascending-id order, keeping traces and event streams byte-identical
+//!   at any workers × shards × pool size.
 //!
 //! ### The build path
 //!
@@ -126,15 +118,6 @@
 //!   (one-time O(n)) only if
 //!   [`replace_process`](sim::Simulation::replace_process) introduces
 //!   heterogeneity mid-run. Traces are identical either way.
-//! * **Cached shard plans.** The degree-balanced bin-pack is fingerprinted
-//!   by `(topology generation, shard count, active set)` and reused while
-//!   all three match — the invalidation rule: any topology mutation
-//!   (cut/heal/isolate) bumps the generation, and any change to the active
-//!   set misses the exact-compare confirm. Dense-activity rounds (everyone
-//!   active) therefore pay the bin-pack once, not every round; the plan
-//!   only decides which thread steps whom, so caching can never change a
-//!   trace ([`set_plan_cache`](sim::set_plan_cache) turns it off for the
-//!   byte-identity gates).
 //!
 //! ## Two-plane telemetry
 //!
@@ -198,13 +181,11 @@ pub mod prelude {
     pub use crate::process::{Context, Process};
     pub use crate::runtime::Runtime;
     pub use crate::schedule::{Recurrence, Schedule, ScheduledAction};
-    pub use crate::sim::{
-        plan_cache_enabled, set_plan_cache, Delivery, Simulation, SimulationBuilder, StepExec,
-    };
+    pub use crate::sim::{Delivery, Simulation, SimulationBuilder, StepExec};
     pub use crate::telemetry::{
         DropReason, Event, EventSink, ProfileData, Profiler, TelemetryConfig,
     };
-    pub use crate::topology::{AdjacencyRepr, Topology};
+    pub use crate::topology::Topology;
     pub use crate::trace::Trace;
 }
 

@@ -77,8 +77,8 @@ pub fn labeled_rng_u64_pair(seed: u64, domain: u64, a: u64, b: u64) -> StdRng {
     StdRng::from_seed(material)
 }
 
-/// Derives an RNG for a labelled harness purpose (fault injection, workload
-/// generation) independent of any process stream.
+/// Derives an RNG for a labelled harness purpose (fault injection,
+/// building random workloads) independent of any process stream.
 pub fn labeled_rng(seed: u64, label: &str) -> StdRng {
     let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a over the label
     for b in label.as_bytes() {

@@ -18,7 +18,6 @@ use crate::topology::Topology;
 use crate::trace::Trace;
 use crate::SimError;
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// Numeric RNG domain for the message-loss model (see
@@ -30,57 +29,6 @@ use std::time::Instant;
 /// [`StepExec::Sharded`] reproduce serial traces byte-for-byte.
 const LOSS_DOMAIN: u64 = 0x1055_1055_1055_1055;
 
-/// Process-wide default for the shard-plan cache (see
-/// [`set_plan_cache`]). On by default; simulations snapshot it at build
-/// time, and [`SimulationBuilder::plan_cache`] overrides it per run.
-static PLAN_CACHE: AtomicBool = AtomicBool::new(true);
-
-/// Sets the process-wide shard-plan cache default. The cache only skips
-/// re-running the deterministic bin-pack when the active set and topology
-/// are unchanged — it can never change a trace — so the off switch exists
-/// purely so byte-identity gates can compare cached vs uncached runs.
-pub fn set_plan_cache(enabled: bool) {
-    PLAN_CACHE.store(enabled, Ordering::Relaxed);
-}
-
-/// The current process-wide shard-plan cache default.
-pub fn plan_cache_enabled() -> bool {
-    PLAN_CACHE.load(Ordering::Relaxed)
-}
-
-/// Fingerprint of the inputs the shard plan depends on: the topology
-/// generation (degrees), the shard count, and the active id set
-/// (length + endpoints + an FNV-1a rolling hash). A key match is only a
-/// *candidate* hit — the cached plan's exact active slice is compared
-/// before reuse, so a hash collision can never produce a stale plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PlanKey {
-    generation: u64,
-    shards: usize,
-    len: usize,
-    first: usize,
-    last: usize,
-    hash: u64,
-}
-
-impl PlanKey {
-    fn new(generation: u64, shards: usize, active: &[usize]) -> PlanKey {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for &i in active {
-            hash ^= i as u64;
-            hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
-        PlanKey {
-            generation,
-            shards,
-            len: active.len(),
-            first: active.first().copied().unwrap_or(usize::MAX),
-            last: active.last().copied().unwrap_or(usize::MAX),
-            hash,
-        }
-    }
-}
-
 /// How [`Simulation::step`] executes its compute phase.
 ///
 /// Either way the observable round semantics are identical — sharded
@@ -90,10 +38,10 @@ impl PlanKey {
 pub enum StepExec {
     /// One thread steps every active process in id order.
     Serial,
-    /// The persistent [`Runtime`] pool's workers step degree-balanced
-    /// process index sets in parallel (a deterministic greedy bin-pack
-    /// over degrees, so one hub can't serialize a shard); a serial merge
-    /// then routes shard outboxes in ascending process-id order.
+    /// The persistent [`Runtime`] pool's workers step contiguous runs of
+    /// the active ids in parallel (split by `degree + 1` weight, so one
+    /// hub can't serialize a shard); a serial merge then routes the
+    /// shards' outboxes in run order, which is ascending process-id order.
     Sharded {
         /// Number of shards (clamped to `[1, n]`; 1 behaves like
         /// [`StepExec::Serial`]).
@@ -135,15 +83,9 @@ struct ShardScratch {
     /// Messages dropped by the loss model.
     dropped_lossy: u64,
     /// Telemetry events generated by this shard's compute phase, in
-    /// per-sender order; drained into the run's [`EventSink`] by the merge
-    /// phase in ascending sender order (empty unless the event plane is on).
+    /// sender order; drained into the run's [`EventSink`] by the merge
+    /// phase (empty unless the event plane is on).
     events: Vec<Event>,
-    /// Per-sender segment table: one `(sender, routed end, events end)`
-    /// entry per stepped process (even quiet ones), recording cumulative
-    /// lengths of `routed`/`events` after that sender. Shard id sets are
-    /// no longer contiguous, so the merge k-way-walks these tables to
-    /// recover global ascending-sender order.
-    segs: Vec<(ProcessId, usize, usize)>,
 }
 
 /// Message-loss model applied on delivery.
@@ -193,21 +135,9 @@ pub struct Simulation {
     woken: Vec<usize>,
     /// Scratch for the round's active id list (ascending, deduplicated).
     active: Vec<usize>,
-    /// Recycled degree-balanced shard plan: `shard_plan[s]` = the ids shard
-    /// `s` steps this round, ascending.
-    shard_plan: Vec<Vec<usize>>,
-    /// Bin-pack scratch: `(weight, id)` pairs and per-bin load tallies.
-    plan_weights: Vec<(usize, usize)>,
-    plan_loads: Vec<usize>,
-    /// Fingerprint of the inputs `shard_plan` was computed from; `None`
-    /// until the first sharded round (or when caching is off).
-    plan_key: Option<PlanKey>,
-    /// The exact active set `shard_plan` was computed from — compared in
-    /// full on a key hit so fingerprint collisions are harmless.
-    plan_active: Vec<usize>,
-    /// Whether to reuse `shard_plan` across rounds when its inputs are
-    /// unchanged (never affects any trace; see [`set_plan_cache`]).
-    plan_cache: bool,
+    /// Recycled shard plan: run boundaries into `active`, shard `s`
+    /// steps `active[shard_plan[s]..shard_plan[s + 1]]` this round.
+    shard_plan: Vec<usize>,
     /// Per-shard compute buffers, recycled across rounds (one entry when
     /// stepping serially).
     shard_scratch: Vec<ShardScratch>,
@@ -251,8 +181,6 @@ pub struct SimulationBuilder {
     runtime: Option<Runtime>,
     telemetry: Option<TelemetryConfig>,
     profiler: Option<Profiler>,
-    /// `None` = adopt the process-wide default at build time.
-    plan_cache: Option<bool>,
 }
 
 impl SimulationBuilder {
@@ -283,12 +211,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Sets the compute-phase execution strategy directly.
-    pub fn exec(mut self, exec: StepExec) -> Self {
-        self.exec = exec;
-        self
-    }
-
     /// Hands the simulation a persistent [`Runtime`] pool for its sharded
     /// compute phase (default: the process-wide [`Runtime::global`] pool,
     /// adopted lazily on the first sharded step). Sharing one handle
@@ -315,15 +237,6 @@ impl SimulationBuilder {
     /// [`crate::telemetry`].
     pub fn profiler(mut self, profiler: Profiler) -> Self {
         self.profiler = Some(profiler);
-        self
-    }
-
-    /// Overrides the shard-plan cache for this simulation (default: the
-    /// process-wide [`plan_cache_enabled`] setting). Caching only skips
-    /// re-running the deterministic bin-pack when its inputs are
-    /// unchanged, so it never changes a trace.
-    pub fn plan_cache(mut self, enabled: bool) -> Self {
-        self.plan_cache = Some(enabled);
         self
     }
 
@@ -379,11 +292,6 @@ impl SimulationBuilder {
             woken: Vec::new(),
             active: Vec::with_capacity(n),
             shard_plan: Vec::new(),
-            plan_weights: Vec::new(),
-            plan_loads: Vec::new(),
-            plan_key: None,
-            plan_active: Vec::new(),
-            plan_cache: self.plan_cache.unwrap_or_else(plan_cache_enabled),
             shard_scratch: Vec::new(),
             exec: self.exec,
             runtime: self.runtime,
@@ -414,7 +322,6 @@ impl Simulation {
             runtime: None,
             telemetry: None,
             profiler: None,
-            plan_cache: None,
         }
     }
 
@@ -526,18 +433,18 @@ impl Simulation {
     /// 1. **Compute** — every active process steps against the immutable
     ///    snapshot of last pulse's deliveries; its messages are link- and
     ///    loss-filtered into per-shard `routed` buffers. Under
-    ///    [`StepExec::Sharded`] the active set is bin-packed into
-    ///    degree-balanced index sets run as one indexed batch on the
+    ///    [`StepExec::Sharded`] the active set is split into contiguous
+    ///    degree-weighted runs stepped as one indexed batch on the
     ///    persistent [`Runtime`] pool — no threads are spawned per round;
     ///    every random draw is derived from `(seed, id, round)`
     ///    coordinates, so nothing depends on the shard plan or thread
     ///    interleaving.
-    /// 2. **Merge** — a k-way walk over the shards' per-sender segment
-    ///    tables replays global ascending process-id order: drop counters
-    ///    are summed and surviving messages are appended to next-round
-    ///    inboxes sender-by-sender, exactly the order serial stepping
-    ///    produces. Traces (and the event stream) are therefore
-    ///    byte-identical at any shard count.
+    /// 2. **Merge** — the shards' buffers are drained in run order, which
+    ///    is global ascending process-id order: drop counters are summed
+    ///    and surviving messages are appended to next-round inboxes
+    ///    sender-by-sender, exactly the order serial stepping produces.
+    ///    Traces (and the event stream) are therefore byte-identical at
+    ///    any shard count.
     ///
     /// Scheduled churn/fault events fire once, before the compute phase,
     /// so the whole round sees the post-event topology and delivery model.
@@ -614,52 +521,31 @@ impl Simulation {
                 );
             }
         } else {
-            // Bin-pack the active set into degree-balanced id sets and
-            // submit them as one indexed batch to the persistent pool
-            // (adopting the process-wide pool if none was attached). The
-            // merge below replays ascending sender order whatever the
-            // plan, so results are byte-identical at any pool size.
-            //
-            // The plan is a pure function of (degrees, shard count,
-            // active ids); when caching is on and all three are unchanged
-            // since the plan was built — degrees fingerprinted by the
-            // topology's mutation generation, the active set confirmed by
-            // an exact slice compare after the hash — the previous plan is
-            // reused. Dense-activity rounds (everyone active, no churn)
-            // therefore pay the bin-pack once, not every round.
-            let key = PlanKey::new(topology.generation(), shards, &self.active);
-            let hit =
-                self.plan_cache && self.plan_key == Some(key) && self.plan_active == self.active;
-            if !hit {
-                plan_shards(
-                    &self.active,
-                    topology,
-                    shards,
-                    &mut self.shard_plan,
-                    &mut self.plan_weights,
-                    &mut self.plan_loads,
-                );
-                self.plan_active.clear();
-                self.plan_active.extend_from_slice(&self.active);
-                self.plan_key = Some(key);
-            }
+            // Split the active set into degree-weighted runs and submit
+            // them as one indexed batch to the persistent pool (adopting
+            // the process-wide pool if none was attached). The merge below
+            // drains the runs in ascending sender order whatever the
+            // split, so results are byte-identical at any pool size.
+            plan_shards(&self.active, topology, shards, &mut self.shard_plan);
             let shared = self.processes.shared();
             let runtime = &*self.runtime.get_or_insert_with(Runtime::global);
+            let active = &self.active;
             let tasks: Vec<BatchTask<'_>> = self
                 .shard_plan
-                .iter()
+                .windows(2)
+                .map(|run| &active[run[0]..run[1]])
                 .zip(self.shard_scratch.iter_mut())
                 .filter(|(ids, _)| !ids.is_empty())
                 .map(|(ids, scratch)| {
                     let shared = &shared;
                     Box::new(move || {
                         for &i in ids {
-                            // SAFETY: the bins partition the active set
-                            // (each id lands in exactly one), all ids are
-                            // in range, and `run_batch` returns only after
-                            // every task completes — so no two tasks alias
-                            // a process and no reference outlives the
-                            // batch.
+                            // SAFETY: the runs are disjoint slices of the
+                            // deduplicated active set (so each id lands in
+                            // exactly one), all ids are in range, and
+                            // `run_batch` returns only after every task
+                            // completes — so no two tasks alias a process
+                            // and no reference outlives the batch.
                             let process = unsafe { &mut *shared.get_ptr(i) };
                             step_one(
                                 process,
@@ -690,11 +576,10 @@ impl Simulation {
             }
         }
 
-        // Merge phase: k-way walk of the shards' per-sender segment tables
-        // in ascending sender order — the serial order. Counters (and
-        // buffered telemetry events) are consumed in the same fixed order,
-        // which is what keeps the event stream byte-identical at any shard
-        // count.
+        // Merge phase: drain the shards in run order — ascending sender
+        // order, the serial order. Counters (and buffered telemetry
+        // events) are consumed in the same fixed order, which is what
+        // keeps the event stream byte-identical at any shard count.
         let merge_start = self.profiler.as_ref().map(|_| Instant::now());
         let mut delivered_this_round = 0u64;
         for scratch in &mut self.shard_scratch[..shards] {
@@ -702,78 +587,16 @@ impl Simulation {
             self.trace.messages_dropped_lossy += scratch.dropped_lossy;
             scratch.dropped_no_link = 0;
             scratch.dropped_lossy = 0;
-        }
-        {
-            struct Cursor<'a> {
-                segs: std::slice::Iter<'a, (ProcessId, usize, usize)>,
-                next: Option<(ProcessId, usize, usize)>,
-                routed: std::vec::Drain<'a, (ProcessId, Message)>,
-                events: std::vec::Drain<'a, Event>,
-                routed_taken: usize,
-                events_taken: usize,
+            if let Some(sink) = &mut self.telemetry {
+                for event in scratch.events.drain(..) {
+                    sink.push(event);
+                }
             }
-            let mut cursors: Vec<Cursor<'_>> = self.shard_scratch[..shards]
-                .iter_mut()
-                .map(|scratch| {
-                    let ShardScratch {
-                        segs,
-                        routed,
-                        events,
-                        ..
-                    } = scratch;
-                    let mut segs = segs.iter();
-                    let next = segs.next().copied();
-                    Cursor {
-                        segs,
-                        next,
-                        routed: routed.drain(..),
-                        events: events.drain(..),
-                        routed_taken: 0,
-                        events_taken: 0,
-                    }
-                })
-                .collect();
-            loop {
-                // Pick the shard holding the smallest unmerged sender (the
-                // linear scan is over ≤ shard-count cursors, not senders).
-                let mut best: Option<(ProcessId, usize)> = None;
-                for (si, cursor) in cursors.iter().enumerate() {
-                    if let Some((sender, _, _)) = cursor.next {
-                        if best.is_none_or(|(s, _)| sender.index() < s.index()) {
-                            best = Some((sender, si));
-                        }
-                    }
-                }
-                let Some((_, si)) = best else { break };
-                let cursor = &mut cursors[si];
-                let (_, routed_end, events_end) = cursor.next.take().unwrap();
-                cursor.next = cursor.segs.next().copied();
-                if events_end > cursor.events_taken {
-                    for event in cursor
-                        .events
-                        .by_ref()
-                        .take(events_end - cursor.events_taken)
-                    {
-                        if let Some(sink) = &mut self.telemetry {
-                            sink.push(event);
-                        }
-                    }
-                    cursor.events_taken = events_end;
-                }
-                for (to, message) in cursor
-                    .routed
-                    .by_ref()
-                    .take(routed_end - cursor.routed_taken)
-                {
-                    delivered_this_round += 1;
-                    self.trace.record_delivery(to, message.payload.len());
-                    self.inboxes.push(to.index(), message);
-                }
-                cursor.routed_taken = routed_end;
+            for (to, message) in scratch.routed.drain(..) {
+                delivered_this_round += 1;
+                self.trace.record_delivery(to, message.payload.len());
+                self.inboxes.push(to.index(), message);
             }
-        }
-        for scratch in &mut self.shard_scratch[..shards] {
-            scratch.segs.clear();
         }
         if let Some(sink) = &mut self.telemetry {
             sink.push(Event::RoundEnd {
@@ -962,54 +785,44 @@ impl Simulation {
     }
 }
 
-/// Assigns the round's active ids to `shards` bins by a deterministic
-/// greedy bin-pack over `degree + 1` weights: heaviest first (ties toward
-/// the lower id), each to the currently least-loaded bin (ties toward the
-/// lower bin index), so a star hub can't serialize one shard. Bins come
-/// out sorted ascending. The plan only decides which thread steps whom —
+/// Splits the round's active ids into `shards` contiguous runs of roughly
+/// equal `degree + 1` weight, written as run boundaries into `bounds`
+/// (`shards + 1` entries; run `s` is `active[bounds[s]..bounds[s + 1]]`,
+/// possibly empty). A run closes as soon as its prefix weight reaches its
+/// share, so a star hub ends its run early and can't serialize a shard.
+/// O(active), no sort. The plan only decides which thread steps whom —
 /// merge order and every RNG draw are id-keyed, so any plan produces the
 /// same trace.
-fn plan_shards(
-    active: &[usize],
-    topology: &Topology,
-    shards: usize,
-    plan: &mut Vec<Vec<usize>>,
-    weights: &mut Vec<(usize, usize)>,
-    loads: &mut Vec<usize>,
-) {
-    if plan.len() != shards {
-        plan.resize_with(shards, Vec::new);
-    }
-    for bin in plan.iter_mut() {
-        bin.clear();
-    }
-    weights.clear();
-    weights.extend(
-        active
-            .iter()
-            .map(|&i| (topology.neighbors(ProcessId(i)).len() + 1, i)),
-    );
-    weights.sort_unstable_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-    loads.clear();
-    loads.resize(shards, 0);
-    for &(weight, i) in weights.iter() {
-        let mut bin = 0;
-        for s in 1..shards {
-            if loads[s] < loads[bin] {
-                bin = s;
-            }
+fn plan_shards(active: &[usize], topology: &Topology, shards: usize, bounds: &mut Vec<usize>) {
+    let weight = |i: usize| topology.degree(ProcessId(i)) + 1;
+    let total: usize = active.iter().map(|&i| weight(i)).sum();
+    bounds.clear();
+    bounds.push(0);
+    let mut prefix = 0;
+    for (pos, &i) in active.iter().enumerate() {
+        prefix += weight(i);
+        // Close run s once prefix / total >= s / shards.
+        while bounds.len() < shards && prefix * shards >= total * bounds.len() {
+            bounds.push(pos + 1);
         }
-        plan[bin].push(i);
-        loads[bin] += weight;
     }
-    for bin in plan.iter_mut() {
-        bin.sort_unstable();
-    }
+    bounds.resize(shards + 1, active.len());
+    // The sharded compute phase's `get_ptr` aliasing is sound only if the
+    // runs partition the active set into distinct ids: ascending bounds
+    // from 0 to `active.len()` over a strictly ascending `active`. Checked
+    // in release builds too: memory safety rests on it, and the check is
+    // one more O(active) pass next to the split's own.
+    assert!(
+        bounds.first() == Some(&0)
+            && bounds.last() == Some(&active.len())
+            && bounds.windows(2).all(|w| w[0] <= w[1])
+            && active.windows(2).all(|w| w[0] < w[1]),
+        "shard runs must partition the active set"
+    );
 }
 
 /// Steps one process against the immutable prior-round inboxes, link- and
-/// loss-filtering its outbox into the owning shard's `routed` buffer and
-/// closing the shard's per-sender segment-table entry.
+/// loss-filtering its outbox into the owning shard's `routed` buffer.
 ///
 /// Shard-plan independence: every draw a sender makes — its process RNG
 /// and its loss stream — is derived from `(seed, id, round)` alone, so the
@@ -1045,10 +858,30 @@ fn step_one(
     // and they are read no earlier than the next pulse. The loss RNG
     // is per-sender (derived lazily, only under a lossy model and only
     // for senders that actually send).
-    let Context { mut outbox, .. } = ctx;
+    //
+    // The link check walks the sender's sorted row with a forward cursor:
+    // broadcasts arrive in row order, so each costs one compare; any
+    // other destination binary-searches the row and re-seats the cursor
+    // just past the hit. Ids ≥ n are never in a row, so the answer is
+    // exactly `Topology::connected`.
+    let Context {
+        mut outbox,
+        neighbors: row,
+        ..
+    } = ctx;
+    let mut at = 0;
     let mut loss_rng: Option<StdRng> = None;
     for (to, payload) in outbox.drain(..) {
-        if to.index() >= n || !topology.connected(id, to) {
+        let linked = if row.get(at) == Some(&to.index()) {
+            at += 1;
+            true
+        } else if let Ok(pos) = row.binary_search(&to.index()) {
+            at = pos + 1;
+            true
+        } else {
+            false
+        };
+        if !linked {
             scratch.dropped_no_link += 1;
             if events_on {
                 scratch.events.push(Event::Dropped {
@@ -1088,9 +921,6 @@ fn step_one(
         scratch.routed.push((to, Message::new(id, round, payload)));
     }
     scratch.outbox = outbox;
-    scratch
-        .segs
-        .push((id, scratch.routed.len(), scratch.events.len()));
 }
 
 #[cfg(test)]
@@ -1598,17 +1428,15 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_never_changes_the_trace() {
+    fn sharded_churn_matches_serial() {
         use crate::telemetry::TelemetryConfig;
-        // Dense activity with churn firing mid-window: the cut/heal bumps
-        // the topology generation, so a stale plan would misassign (or
-        // worse, mis-weight) ids if invalidation were broken. Cached and
-        // uncached runs must agree byte-for-byte at every shard count.
-        let build = |shards: usize, cache: bool| {
+        // Dense activity with churn firing mid-window: the cut/heal and
+        // the isolation change degrees, hence the shard plan, between
+        // rounds. Every shard count must agree byte-for-byte with serial.
+        let build = |shards: usize| {
             Simulation::builder(Topology::complete(8))
                 .seed(13)
                 .shards(shards)
-                .plan_cache(cache)
                 .telemetry(TelemetryConfig::default())
                 .schedule(
                     Schedule::new()
@@ -1630,67 +1458,169 @@ mod tests {
                 )
                 .build_with(|_| Box::new(Counter { received: 0 }) as Box<dyn Process>)
         };
-        let mut reference = build(1, false);
+        let mut reference = build(1);
         reference.run(9);
         let reference_events = reference.take_events();
         for shards in [2, 4, 8] {
-            for cache in [false, true] {
-                let mut sim = build(shards, cache);
-                sim.run(9);
-                assert_eq!(
-                    reference.trace(),
-                    sim.trace(),
-                    "shards={shards} cache={cache}"
-                );
-                assert_eq!(
-                    reference_events,
-                    sim.take_events(),
-                    "shards={shards} cache={cache}"
-                );
+            let mut sim = build(shards);
+            sim.run(9);
+            assert_eq!(reference.trace(), sim.trace(), "shards={shards}");
+            assert_eq!(reference_events, sim.take_events(), "shards={shards}");
+        }
+    }
+
+    /// Counts its steps; broadcasts every step iff always-active.
+    struct Mixed {
+        always: bool,
+        steps: u64,
+    }
+
+    impl Process for Mixed {
+        fn on_pulse(&mut self, ctx: &mut Context<'_>) {
+            self.steps += 1;
+            if self.always {
+                ctx.broadcast(vec![1]);
             }
+        }
+        fn always_active(&self) -> bool {
+            self.always
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
         }
     }
 
     #[test]
-    fn plan_cache_reuses_and_invalidates() {
-        // White-box: dense activity on a static topology converges to one
-        // plan; churn invalidates it.
-        let mut sim = Simulation::builder(Topology::complete(6))
-            .seed(3)
-            .shards(3)
-            .plan_cache(true)
-            .build_with(|_| Box::new(Counter { received: 0 }) as Box<dyn Process>);
-        sim.run(2);
-        let key = sim.plan_key.expect("sharded rounds fingerprint the plan");
-        sim.run(3);
-        assert_eq!(
-            sim.plan_key,
-            Some(key),
-            "static dense rounds reuse the plan"
-        );
-        sim.disconnect(ProcessId(4));
-        sim.run(1);
-        let after = sim.plan_key.expect("replanned after churn");
-        assert_ne!(key, after, "isolation bumps the generation");
+    fn mixed_activity_steps_each_process_once_per_round() {
+        // Even ids are always-active broadcasters, odd ids quiescent. From
+        // round 1 every process also has mail, so the even ids come from
+        // two active-set sources at once and must still step once a round
+        // (the sharded plan asserts the deduplicated partition).
+        let rounds = 5;
+        for shards in [1, 3] {
+            let mut sim = Simulation::builder(Topology::complete(6))
+                .shards(shards)
+                .build_with(|id| {
+                    Box::new(Mixed {
+                        always: id.index() % 2 == 0,
+                        steps: 0,
+                    }) as Box<dyn Process>
+                });
+            sim.run(rounds);
+            for i in 0..6 {
+                let steps = sim.process_as::<Mixed>(ProcessId(i)).unwrap().steps;
+                let expect = if i % 2 == 0 { rounds } else { rounds - 1 };
+                assert_eq!(steps, expect, "process {i}, shards={shards}");
+            }
+        }
+    }
+
+    /// Broadcasts once, then sends each `(to, tag)` in order, at round 0.
+    struct Prober {
+        sends: Vec<(usize, u8)>,
+    }
+
+    impl Process for Prober {
+        fn on_pulse(&mut self, ctx: &mut Context<'_>) {
+            if ctx.round() == Round(0) {
+                ctx.broadcast(vec![0]);
+                for &(to, tag) in &self.sends {
+                    ctx.send(ProcessId(to), vec![tag]);
+                }
+            }
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// Records every `(sender, tag)` it receives, in inbox order.
+    struct Recorder {
+        heard: Vec<(usize, u8)>,
+    }
+
+    impl Process for Recorder {
+        fn on_pulse(&mut self, ctx: &mut Context<'_>) {
+            for m in ctx.inbox() {
+                self.heard.push((m.from.index(), m.payload[0]));
+            }
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
     }
 
     #[test]
-    fn plan_key_distinguishes_distinct_active_sets() {
-        // Same length, same endpoints, different interiors: the rolling
-        // hash (plus the exact compare in step()) must not treat these as
-        // one plan.
-        let a = PlanKey::new(0, 4, &[0, 2, 5, 9]);
-        let b = PlanKey::new(0, 4, &[0, 3, 5, 9]);
-        assert_ne!(a, b);
-        assert_ne!(
-            PlanKey::new(0, 4, &[0, 2, 5, 9]),
-            PlanKey::new(1, 4, &[0, 2, 5, 9])
-        );
-        assert_ne!(
-            PlanKey::new(0, 4, &[0, 2, 5, 9]),
-            PlanKey::new(0, 2, &[0, 2, 5, 9])
-        );
-        assert_eq!(a, PlanKey::new(0, 4, &[0, 2, 5, 9]));
+    fn link_check_matches_connected_for_every_send_pattern() {
+        // Sender 0's row is [2, 3, 5, 7]; 1-2 and 4-6 are edges elsewhere.
+        let edges = [(0, 2), (0, 3), (0, 5), (0, 7), (1, 2), (4, 6)];
+        let n = 8;
+        let sends = vec![
+            (3, 1),   // repeat of an already-broadcast neighbour
+            (7, 2),   // descending ids ...
+            (5, 3),   //
+            (2, 4),   // ... back to the row head
+            (0, 5),   // itself
+            (4, 6),   // a non-neighbour
+            (8, 7),   // id == n
+            (100, 8), // id far past n
+            (7, 9),   // a neighbour again after the misses
+        ];
+        let topology = Topology::from_edges(n, &edges).unwrap();
+        // Oracle: the broadcast in row order, then the explicit sends,
+        // each kept iff `connected` says the link exists.
+        let mut expect: Vec<Vec<(usize, u8)>> = vec![Vec::new(); n];
+        let mut expect_dropped = 0u64;
+        let attempts = topology
+            .neighbors(ProcessId(0))
+            .iter()
+            .map(|&v| (v, 0u8))
+            .chain(sends.iter().copied());
+        for (to, tag) in attempts {
+            if to < n && topology.connected(ProcessId(0), ProcessId(to)) {
+                expect[to].push((0, tag));
+            } else {
+                expect_dropped += 1;
+            }
+        }
+        assert_eq!(expect_dropped, 4, "self, non-neighbour and two ids >= n");
+        for shards in [1, 3] {
+            let mut sim = Simulation::builder(topology.clone())
+                .shards(shards)
+                .build_with(|id| {
+                    if id == ProcessId(0) {
+                        Box::new(Prober {
+                            sends: sends.clone(),
+                        }) as Box<dyn Process>
+                    } else {
+                        Box::new(Recorder { heard: Vec::new() })
+                    }
+                });
+            sim.run(2);
+            assert_eq!(
+                sim.trace().messages_delivered,
+                expect.iter().map(Vec::len).sum::<usize>() as u64,
+                "shards={shards}"
+            );
+            assert_eq!(
+                sim.trace().messages_dropped_no_link,
+                expect_dropped,
+                "shards={shards}"
+            );
+            for (to, want) in expect.iter().enumerate().skip(1) {
+                let heard = &sim.process_as::<Recorder>(ProcessId(to)).unwrap().heard;
+                assert_eq!(heard, want, "inbox of {to}, shards={shards}");
+            }
+        }
     }
 
     #[test]

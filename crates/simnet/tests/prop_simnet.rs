@@ -3,6 +3,7 @@
 use ga_simnet::prelude::*;
 use proptest::prelude::*;
 use rand::SeedableRng;
+use std::collections::BTreeSet;
 
 /// A process that broadcasts a constant and counts receipts.
 struct Beacon {
@@ -83,13 +84,11 @@ proptest! {
         prop_assert!(t.is_connected());
     }
 
-    /// The dense bitmask plane and the pure-CSR path answer `connected`
-    /// and `degree` identically on random graphs driven through random
-    /// cut/heal/isolate sequences — the representations are
-    /// interchangeable, which is what lets the auto threshold pick by
-    /// size alone.
+    /// The CSR rows stay exact under random cut/heal/isolate sequences:
+    /// `connected`, `degree` and `neighbors` agree after every step with a
+    /// plain edge-set model driven through the same operations.
     #[test]
-    fn csr_and_dense_agree_under_mutation(
+    fn csr_rows_match_an_edge_set_model_under_mutation(
         seed in any::<u64>(),
         n in 4usize..12,
         k in 2usize..4,
@@ -97,31 +96,52 @@ proptest! {
     ) {
         prop_assume!(k < n);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let base = Topology::random_k_connected(n, k, 0.1, &mut rng);
-        let mut dense = base.clone();
-        dense.set_repr(AdjacencyRepr::Dense);
-        let mut sparse = base;
-        sparse.set_repr(AdjacencyRepr::Sparse);
+        let mut topology = Topology::random_k_connected(n, k, 0.1, &mut rng);
+        // Both orientations of every undirected edge.
+        let mut model: BTreeSet<(usize, usize)> = BTreeSet::new();
+        for u in 0..n {
+            for &v in topology.neighbors(ProcessId(u)) {
+                model.insert((u, v));
+            }
+        }
         for (op, a, b) in ops {
-            let (a, b) = (ProcessId(a % n), ProcessId(b % n));
+            let (a, b) = (a % n, b % n);
+            let (pa, pb) = (ProcessId(a), ProcessId(b));
             match op {
                 0 => {
-                    prop_assert_eq!(dense.cut_link(a, b), sparse.cut_link(a, b));
+                    let expect = if a == b {
+                        Err(())
+                    } else {
+                        model.remove(&(b, a));
+                        Ok(model.remove(&(a, b)))
+                    };
+                    prop_assert_eq!(topology.cut_link(pa, pb).map_err(|_| ()), expect);
                 }
                 1 => {
-                    prop_assert_eq!(dense.heal_link(a, b), sparse.heal_link(a, b));
+                    let expect = if a == b {
+                        Err(())
+                    } else {
+                        model.insert((b, a));
+                        Ok(model.insert((a, b)))
+                    };
+                    prop_assert_eq!(topology.heal_link(pa, pb).map_err(|_| ()), expect);
                 }
                 _ => {
-                    dense.isolate(a);
-                    sparse.isolate(a);
+                    topology.isolate(pa);
+                    model.retain(|&(u, v)| u != a && v != a);
                 }
             }
             for i in 0..n {
-                prop_assert_eq!(dense.degree(ProcessId(i)), sparse.degree(ProcessId(i)));
+                let row: Vec<usize> = model
+                    .range((i, 0)..(i + 1, 0))
+                    .map(|&(_, v)| v)
+                    .collect();
+                prop_assert_eq!(topology.neighbors(ProcessId(i)), &row[..], "row {}", i);
+                prop_assert_eq!(topology.degree(ProcessId(i)), row.len());
                 for j in 0..n {
                     prop_assert_eq!(
-                        dense.connected(ProcessId(i), ProcessId(j)),
-                        sparse.connected(ProcessId(i), ProcessId(j)),
+                        topology.connected(ProcessId(i), ProcessId(j)),
+                        model.contains(&(i, j)),
                         "connected({}, {}) diverged", i, j
                     );
                 }
